@@ -6,12 +6,11 @@ measure
 * **single-run speed** — wall-clock and events/sec for three canonical
   grid points (1- and 20-connection BBR on the Low-End config, and a
   20-connection Cubic run on Default), best-of-``REPEATS`` to suppress
-  scheduler noise;
+  scheduler noise. Each block pins its kernel: ``current`` always runs
+  pure (like for like with the frozen pure ``baseline`` and the pure
+  history), ``current_compiled`` runs compiled when it is built;
 * **parallel scaling** — the Figure 2 Low-End grid (BBR + Cubic over
   {1, 5, 10, 20} connections) at ``jobs=1`` versus ``jobs=N``;
-* **timer-churn microbenchmark** — hundreds of concurrent re-arming
-  timers, measured with the timer wheel on and off (the wheel's O(1)
-  cancel is exactly what this workload stresses);
 * **allocation microbenchmark** — ``tracemalloc`` peak plus packet-pool
   reuse statistics for one canonical run (the zero-allocation hot path's
   scoreboard);
@@ -30,7 +29,9 @@ measure
   accounting rather than the steady-state fast path.
 
 All timing measurements pin ``cache=False`` so the result cache can
-never serve a point the harness meant to time.
+never serve a point the harness meant to time. Everything except the two
+single-run blocks runs on the default kernel (compiled when built), which
+``meta.kernel_default`` records.
 
 Results are written to ``benchmarks/results/BENCH_runner.json``. The
 ``baseline`` block is *preserved* across reruns — it records the seed
@@ -54,6 +55,7 @@ are noisier and are not written unless ``--write`` is also given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -78,7 +80,6 @@ from repro import (
 from repro.kernel import KERNEL_ENV_VAR
 from repro.netsim.packet import PACKET_POOL
 from repro.obs import perf_trend
-from repro.sim import EventLoop, Timer
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
 
@@ -122,6 +123,20 @@ def fig2_lowend_grid(duration_s: float = 2.0, warmup_s: float = 0.5) -> List[Exp
         for cc in ("bbr", "cubic")
         for n in (1, 5, 10, 20)
     ]
+
+
+@contextlib.contextmanager
+def _kernel_selected(name: str):
+    """Run the body with ``REPRO_KERNEL`` set to *name*, then restore it."""
+    prev = os.environ.get(KERNEL_ENV_VAR)
+    os.environ[KERNEL_ENV_VAR] = name
+    try:
+        yield
+    finally:
+        if prev is None:
+            os.environ.pop(KERNEL_ENV_VAR, None)
+        else:
+            os.environ[KERNEL_ENV_VAR] = prev
 
 
 def measure_single_runs(duration_s: float, warmup_s: float) -> Dict[str, Dict[str, float]]:
@@ -175,60 +190,6 @@ def measure_parallel_scaling(duration_s: float, warmup_s: float) -> Dict[str, ob
         "speedup": round(speedup, 2),
         "events_per_sec_jobs1": round(serial.events_per_sec, 1),
         "events_per_sec_jobsN": round(parallel.events_per_sec, 1),
-    }
-
-
-def _timer_churn_rate(wheel: bool, n_timers: int, rounds: int) -> Dict[str, float]:
-    """Re-arm *n_timers* RTO-style timers *rounds* times each.
-
-    Models the dominant hrtimer pattern in the stack: every ACK re-arms
-    the connection's RTO ~200 ms out, so the previously armed expiry is
-    cancelled long before it fires. The driver events ride the heap
-    (sub-cutoff delays) in both configurations; only the RTO arms are
-    routed differently, isolating the cancel cost under test. On the
-    heap, each cancelled expiry lingers as lazy-deletion debt until
-    compaction; the wheel deletes it from its bucket immediately.
-    """
-    loop = EventLoop(wheel=wheel)
-    timers = [Timer(loop, lambda: None) for _ in range(n_timers)]
-    rearms = 0
-
-    def drive(idx: int, remaining: int) -> None:
-        nonlocal rearms
-        timers[idx].start(200_000_000 + idx)  # RTO-scale: wheel-routed
-        rearms += 1
-        if remaining > 1:
-            loop.call_after(300_000 + (idx % 11) * 1_000, drive, idx, remaining - 1)
-
-    for i in range(n_timers):
-        loop.call_after(i, drive, i, rounds)
-    t0 = time.perf_counter()
-    loop.run()
-    wall = time.perf_counter() - t0
-    return {
-        "fires": sum(t.fire_count for t in timers),
-        "compactions": loop.compactions,
-        "rearms_per_sec": round(rearms / wall, 1) if wall > 0 else 0.0,
-        "wall_s": round(wall, 4),
-    }
-
-
-def measure_timer_churn(quick: bool) -> Dict[str, object]:
-    """Wheel-on vs wheel-off rates for the timer re-arm workload."""
-    n_timers, rounds = (200, 100) if quick else (500, 600)
-    wheel = _timer_churn_rate(True, n_timers, rounds)
-    heap = _timer_churn_rate(False, n_timers, rounds)
-    ratio = (wheel["rearms_per_sec"] / heap["rearms_per_sec"]
-             if heap["rearms_per_sec"] else 0.0)
-    print(f"  wheel: {wheel['rearms_per_sec']:,.0f} re-arms/s   "
-          f"heap: {heap['rearms_per_sec']:,.0f} re-arms/s   "
-          f"(x{ratio:.2f})")
-    return {
-        "timers": n_timers,
-        "rounds": rounds,
-        "wheel": wheel,
-        "heap": heap,
-        "wheel_vs_heap": round(ratio, 3),
     }
 
 
@@ -551,33 +512,24 @@ def main(argv=None) -> int:
     duration_s, warmup_s = (0.8, 0.2) if args.quick else (2.0, 0.5)
     write = args.write if args.write is not None else not args.quick
 
-    active_kernel = resolve_kernel()
+    # `current` is pinned to pure whatever the default: it is compared
+    # with the frozen pure baseline and gated against the pure history.
+    # The compiled backend, when built, is measured as its own block.
+    pure_kernel = KERNELS.get("pure")
     print("single-run speed (best of %d, kernel=%s):"
-          % (REPEATS, active_kernel.describe()))
-    current = measure_single_runs(duration_s, warmup_s)
-
-    # When the compiled kernel is built and the regular numbers above ran
-    # pure, measure the compiled backend too: the baseline comparison
-    # stays like-for-like while the JSON still records what the fast
-    # kernel does on this hardware.
+          % (REPEATS, pure_kernel.describe()))
+    with _kernel_selected(pure_kernel.name):
+        current = measure_single_runs(duration_s, warmup_s)
     current_compiled = None
     compiled_kernel = KERNELS.get("compiled")
-    if active_kernel.name != "compiled" and compiled_kernel.available:
+    if compiled_kernel.available:
         print("single-run speed (kernel=%s):" % compiled_kernel.describe())
-        prev = os.environ.get(KERNEL_ENV_VAR)
-        os.environ[KERNEL_ENV_VAR] = "compiled"
-        try:
+        with _kernel_selected(compiled_kernel.name):
             current_compiled = measure_single_runs(duration_s, warmup_s)
-        finally:
-            if prev is None:
-                os.environ.pop(KERNEL_ENV_VAR, None)
-            else:
-                os.environ[KERNEL_ENV_VAR] = prev
 
-    print("parallel scaling:")
+    default_kernel = resolve_kernel()
+    print("parallel scaling (kernel=%s):" % default_kernel.describe())
     scaling = measure_parallel_scaling(duration_s, warmup_s)
-    print("timer churn (microbenchmark):")
-    churn = measure_timer_churn(args.quick)
     print("allocations (microbenchmark):")
     allocations = measure_allocations(duration_s, warmup_s)
     print("result cache (microbenchmark):")
@@ -602,7 +554,6 @@ def main(argv=None) -> int:
         "current": current,
         "parallel": scaling,
         "microbench": {
-            "timer_churn": churn,
             "allocation": allocations,
             "result_cache": cache_bench,
             "chunked_dispatch": chunking,
@@ -615,7 +566,9 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "quick": bool(args.quick),
             #: the backend the ``current`` block was measured with
-            "kernel": kernel_info(active_kernel),
+            "kernel": kernel_info(pure_kernel),
+            #: the backend everything but the single-run blocks ran on
+            "kernel_default": kernel_info(default_kernel),
         },
     }
     if current_compiled is not None:
@@ -633,22 +586,24 @@ def main(argv=None) -> int:
     # reference.
     prior = perf_trend.comparable_entries(
         perf_trend.load_history(args.history),
-        kernel=active_kernel.name, quick=args.quick,
+        kernel=pure_kernel.name, quick=args.quick,
     )
 
     if not args.no_history:
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         head = perf_trend.git_head(repo_root)
+        # The flow-churn rate belongs to the entry of the kernel it ran on.
         micro_rates = {
-            "timer_wheel_rearms_per_sec": churn["wheel"]["rearms_per_sec"],
             "flow_churn_events_per_sec": flow_churn["events_per_sec"],
         }
         appended = perf_trend.append_history(
             args.history,
             perf_trend.history_record(
                 {name: c["events_per_sec"] for name, c in current.items()},
-                kernel=active_kernel.name, quick=args.quick,
-                microbench=micro_rates, head=head,
+                kernel=pure_kernel.name, quick=args.quick,
+                microbench=(micro_rates
+                            if default_kernel is pure_kernel else None),
+                head=head,
             ),
         )
         if current_compiled is not None:
@@ -657,7 +612,11 @@ def main(argv=None) -> int:
                 perf_trend.history_record(
                     {name: c["events_per_sec"]
                      for name, c in current_compiled.items()},
-                    kernel="compiled", quick=args.quick, head=head,
+                    kernel=compiled_kernel.name, quick=args.quick,
+                    microbench=(micro_rates
+                                if default_kernel is compiled_kernel
+                                else None),
+                    head=head,
                 ),
             )
         if appended:

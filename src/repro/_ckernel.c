@@ -21,10 +21,9 @@
  *      rounding mode; Python int() truncation == C double->int64 cast
  *      for the non-negative values used here).
  *
- * Unlike the pure loop there is no timer wheel: a single binary heap
- * with lazy deletion gives the same total (when, seq) order (the wheel
- * is a routing optimization, not an ordering feature), and C heap ops
- * are cheap enough that bucketing would only add constant factors.
+ * Like the pure loop, scheduling is a single binary heap with lazy
+ * deletion and the same compaction policy, which gives the same total
+ * (when, seq) order.
  *
  * Internal event kinds (CPU completion, link/queue tx-done, timer fire,
  * one-arg calls) carry no Python Event object and no args tuple — the

@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_CHUNK, then auto-sized from the grid)")
         p.add_argument("--kernel", choices=KERNELS.names(), default=None,
                        help="simulation-kernel backend (default: "
-                            "$REPRO_KERNEL, then pure); instrumented runs "
-                            "fall back to pure")
+                            "$REPRO_KERNEL, then compiled if built, else "
+                            "pure); instrumented runs fall back to pure")
         p.add_argument("--rate-limit-mbps", type=float, default=None,
                        help="tc rate limit on the router's server port")
         p.add_argument("--buffer-segments", type=int, default=None,
@@ -584,11 +584,13 @@ def _instrumented_run(args, spec, out):
     stats.add_run(result.scalar_metrics())
     agg = ReplicatedResult(spec=spec, runs=[result], stats=stats)
     notices: List[str] = []
-    requested_kernel = os.environ.get(KERNEL_ENV_VAR) or "pure"
-    if requested_kernel != "pure":
+    # What an uninstrumented run would have used: the explicit request,
+    # else the built-dependent default. Instrumented runs always got pure.
+    uninstrumented = resolve_kernel().name
+    if uninstrumented != "pure":
         notices.append(
             f"instrumented run: pure kernel used instead of "
-            f"{requested_kernel!r}"
+            f"{uninstrumented!r}"
         )
     if tracer is not None:
         if tracer.dropped_records:

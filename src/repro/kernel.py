@@ -9,19 +9,24 @@ backend a run uses, through the same registry pattern as congestion
 control or executors:
 
 * ``KERNELS.get("pure")`` / ``KERNELS.get("compiled")`` — the backends,
-* :func:`resolve_kernel` — arg > ``REPRO_KERNEL`` env > ``"pure"``, with
-  a graceful, loudly-noticed fall back to pure when the extension is not
-  built or the run is instrumented (tracer/profiler), and
+* :func:`requested_kernel` — what the caller explicitly asked for (the
+  argument, else ``REPRO_KERNEL``), or ``None``,
+* :func:`resolve_kernel` — the request, else ``compiled`` when the
+  extension is built, else ``pure``; an explicit request that cannot be
+  honoured (extension not built) or an instrumented run (tracer/profiler)
+  falls back to pure with a one-line notice, and
 * :func:`kernel_info` — what actually ran, for benchmark metadata.
 
-The pure path stays the determinism reference: the compiled kernel must
-produce byte-identical results (same event order, same seq tie-breaks,
-same float expressions), which the equivalence suite and the archived-
-results byte-identity CI check enforce. Selection happens only where an
-experiment builds its loop (:func:`repro.core.experiment.run_experiment`);
-components constructed on a compiled loop route themselves to their C
-counterparts via ``__new__`` hooks, so unit tests that build a pure
-``EventLoop`` directly are always exercising the reference code.
+The compiled kernel is the fast path and the default wherever it is
+built; the pure path stays the readable determinism reference. The
+compiled kernel must produce byte-identical results (same event order,
+same seq tie-breaks, same float expressions), which the equivalence
+suite and the archived-results byte-identity CI check enforce.
+Selection happens only where an experiment builds its loop
+(:func:`repro.core.experiment.run_experiment`); components constructed
+on a compiled loop route themselves to their C counterparts via
+``__new__`` hooks, so unit tests that build a pure ``EventLoop``
+directly are always exercising the reference code.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "Kernel",
     "KERNELS",
     "KERNEL_ENV_VAR",
+    "requested_kernel",
     "resolve_kernel",
     "compiled_for",
     "compiled_components",
@@ -179,43 +185,66 @@ KERNELS.register("pure", Kernel("pure", _make_pure_loop))
 KERNELS.register("compiled", _CompiledKernel())
 
 
+def requested_kernel(name: Optional[str] = None) -> Optional[str]:
+    """The backend explicitly asked for: *name*, else ``REPRO_KERNEL``.
+
+    Returns ``None`` when neither is set, i.e. when the run takes the
+    default (see :func:`resolve_kernel`). Callers that report a kernel
+    fallback compare the kernel that ran against this, never against a
+    hard-coded default: landing on pure because nothing is built is not
+    a fallback when nobody asked for compiled.
+
+    A junk ``REPRO_KERNEL`` value fails fast with a :class:`ValueError`
+    that names the variable and enumerates the registered backends (same
+    hardening as ``resolve_jobs`` for ``REPRO_JOBS``) — an inherited
+    environment must never silently select the wrong backend. An empty
+    or whitespace-only ``REPRO_KERNEL`` means "unset". Unknown *name*
+    values are left to :meth:`Registry.get` to reject.
+    """
+    if name:
+        return name
+    env = os.environ.get(KERNEL_ENV_VAR, "")
+    requested = env.strip()
+    if not requested:
+        return None
+    if requested not in KERNELS:
+        choices = ", ".join(sorted(KERNELS.names()))
+        raise ValueError(
+            f"{KERNEL_ENV_VAR} must name a registered kernel "
+            f"(one of: {choices}), got {env!r}"
+        )
+    return requested
+
+
 def resolve_kernel(
     name: Optional[str] = None,
     instrumented: bool = False,
 ) -> Kernel:
-    """Pick the kernel for a run: *name* > ``REPRO_KERNEL`` > ``"pure"``.
+    """Pick the kernel for a run.
+
+    In order: *name*, then ``REPRO_KERNEL`` (see :func:`requested_kernel`),
+    then ``compiled`` if the extension loads, else ``pure``. An unset
+    request that lands on pure because nothing is built is the default,
+    not a fallback, and prints nothing.
 
     Two situations force the pure backend, each announced once on stderr
-    (never a silent downgrade — satellite requirement: no silently empty
-    profiles, no unbuilt extension pretending to be compiled):
+    (never a silent downgrade — no silently empty profiles, no unbuilt
+    extension pretending to be compiled):
 
     * *instrumented* runs (an enabled tracer or a profiler): the compiled
       kernel does not carry instrumentation hooks, so the reference
       implementation runs instead;
-    * the compiled extension is requested but not importable on this
-      machine (not built, or no compiler at install time).
+    * the compiled extension is explicitly requested but not importable
+      on this machine (not built, or no compiler at install time).
 
-    Unknown names raise :class:`repro.registry.UnknownNameError`; a junk
-    ``REPRO_KERNEL`` value fails fast with a :class:`ValueError` that
-    names the variable and enumerates the registered backends (same
-    hardening as ``resolve_jobs`` for ``REPRO_JOBS``) — an inherited
-    environment must never silently select the wrong backend. An empty
-    or whitespace-only ``REPRO_KERNEL`` means "unset".
+    Unknown names raise :class:`repro.registry.UnknownNameError`.
     """
-    if name:
-        requested = name
+    requested = requested_kernel(name)
+    if requested is None:
+        compiled = KERNELS.get("compiled")
+        kernel = compiled if compiled.available else KERNELS.get("pure")
     else:
-        env = os.environ.get(KERNEL_ENV_VAR, "")
-        requested = env.strip()
-        if requested and requested not in KERNELS:
-            choices = ", ".join(sorted(KERNELS.names()))
-            raise ValueError(
-                f"{KERNEL_ENV_VAR} must name a registered kernel "
-                f"(one of: {choices}), got {env!r}"
-            )
-        if not requested:
-            requested = "pure"
-    kernel = KERNELS.get(requested)
+        kernel = KERNELS.get(requested)
     if kernel.name == "pure":
         return kernel
     if instrumented:

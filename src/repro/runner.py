@@ -58,7 +58,7 @@ from .core.experiment import (
     run_experiment,
 )
 from .core.scenario import spec_from_dict, spec_to_dict
-from .kernel import KERNEL_ENV_VAR, compiled_components, resolve_kernel
+from .kernel import compiled_components, requested_kernel, resolve_kernel
 from .metrics.summary import RunSet
 from .obs.ledger import RunLedger, resolve_ledger
 from .obs.live import (
@@ -542,13 +542,10 @@ def run_grid_report(
     active_kernel = resolve_kernel()
     kernel_name = active_kernel.name
     notices: List[str] = []
-    requested_kernel = (
-        os.environ.get(KERNEL_ENV_VAR) or ""
-    ).strip() or "pure"
-    if requested_kernel != kernel_name:
+    requested = requested_kernel()
+    if requested is not None and requested != kernel_name:
         notices.append(
-            f"kernel {requested_kernel!r} unavailable; grid ran "
-            f"{kernel_name!r}"
+            f"kernel {requested!r} unavailable; grid ran {kernel_name!r}"
         )
     report = GridReport(
         results=results,

@@ -13,15 +13,9 @@ Cancellation is lazy (an :class:`Event` is flagged and skipped when it
 reaches the top of the heap), which keeps ``cancel`` O(1). The loop counts
 cancelled entries still buried in the heap and compacts when they dominate,
 so workloads that re-arm timers millions of times (pacing, RTO) keep the
-heap proportional to the number of *live* events.
-
-A hierarchical timer wheel (:mod:`repro.sim.wheel`, enabled by default)
-sits in front of the heap: near-future events go into fixed-width ns
-buckets with O(1) insert and *true* O(1) cancel (a dict delete — no
-lazy-deletion debt at all), while far-future and behind-cursor events
-fall back to the heap. Dispatch merges both sources by the same
-``(when, seq)`` key, so rule 2 holds bit-for-bit whether or not the wheel
-is enabled (``EventLoop(wheel=False)`` gives the pure-heap loop).
+heap proportional to the number of *live* events. The compiled loop
+(:mod:`repro._ckernel`) is the same single ``(when, seq)`` heap with the
+same lazy deletion and compaction policy.
 """
 
 from __future__ import annotations
@@ -29,8 +23,6 @@ from __future__ import annotations
 import heapq
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from .wheel import _INF as _WHEEL_INF, READY as _READY, TimerWheel
 
 __all__ = ["Event", "EventLoop", "SimulationError"]
 
@@ -54,32 +46,17 @@ _HeapEntry = Tuple[int, int, "Event"]
 # bounds heap size at ~2x the live event count.
 _COMPACT_MIN = 512
 
-# Wheel routing cutoff: schedules at least this far out go to the timer
-# wheel, closer ones to the heap. Profiling the canonical scenarios shows
-# sub-millisecond delays are fire-path work (serialization, CPU work
-# items, pacing releases) that almost always runs — C heapq beats any
-# Python-level bucketing for those — while delays past ~2 ms are
-# timer-class arms (RTO, delayed ACK, PROBE_RTT) that are nearly always
-# cancelled and re-armed, exactly where the wheel's true-O(1) cancel
-# wins. The cutoff is a pure routing heuristic: dispatch merges both
-# sources by (when, seq), so it can never affect firing order.
-_WHEEL_MIN_DELAY_NS = 1 << 21
-
 
 class Event:
     """A scheduled callback.
 
     Instances are returned by :meth:`EventLoop.call_at` /
-    :meth:`EventLoop.call_after` and can be cancelled. A heap-resident
-    event stays in the heap when cancelled and is skipped when popped
-    (lazy deletion); a wheel-resident event is deleted from its bucket
-    immediately. Both paths keep cancellation O(1).
+    :meth:`EventLoop.call_after` and can be cancelled. A cancelled event
+    stays in the heap and is skipped when popped (lazy deletion), which
+    keeps cancellation O(1).
     """
 
-    __slots__ = (
-        "when", "callback", "args", "cancelled", "_fired", "_loop",
-        "_seq", "_wslot",
-    )
+    __slots__ = ("when", "callback", "args", "cancelled", "_fired", "_loop")
 
     def __init__(
         self,
@@ -94,33 +71,15 @@ class Event:
         self.cancelled = False
         self._fired = False
         self._loop = loop
-        #: scheduling sequence number (the (when, seq) tie-break key)
-        self._seq = 0
-        #: where the event lives: None = heap, a bucket dict = timer
-        #: wheel, the READY sentinel = wheel's drained ready list
-        self._wslot = None
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self._fired:
-            return
-        slot = self._wslot
-        if slot is None:
-            # Heap-resident: lazy deletion. Only events still buried in
-            # the heap count toward compaction.
-            if self._loop is not None:
-                self._loop._note_cancelled()
-        elif slot is _READY:
-            # Drained into the wheel's ready list: skipped at dispatch.
-            self._loop._wheel._ready_cancelled += 1
-        else:
-            # Bucketed in the wheel: a true O(1) delete, no debt left.
-            del slot[self._seq]
-            self._wslot = None
-            self._loop._wheel._count -= 1
+        # Only events still buried in the heap count toward compaction.
+        if not self._fired and self._loop is not None:
+            self._loop._note_cancelled()
 
     @property
     def pending(self) -> bool:
@@ -143,16 +102,11 @@ class EventLoop:
         loop = EventLoop()
         loop.call_after(milliseconds(5), hello)
         loop.run(until=seconds(1))
-
-    ``wheel=False`` disables the timer wheel and schedules everything on
-    the heap — same event stream, useful as the determinism reference.
     """
 
-    def __init__(self, wheel: bool = True) -> None:
+    def __init__(self) -> None:
         self._now: int = 0
         self._heap: List[_HeapEntry] = []
-        #: O(1)-insert/cancel front-end for near-future events
-        self._wheel: Optional[TimerWheel] = TimerWheel() if wheel else None
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -199,13 +153,7 @@ class EventLoop:
         event.cancelled = False
         event._fired = False
         event._loop = self
-        event._wslot = None
         self._seq = seq = self._seq + 1
-        event._seq = seq
-        if when - self._now >= _WHEEL_MIN_DELAY_NS:
-            wheel = self._wheel
-            if wheel is not None and wheel.insert(when, seq, event, self._now):
-                return event
         heapq.heappush(self._heap, (when, seq, event))
         return event
 
@@ -224,13 +172,7 @@ class EventLoop:
         event.cancelled = False
         event._fired = False
         event._loop = self
-        event._wslot = None
         self._seq = seq = self._seq + 1
-        event._seq = seq
-        if delay >= _WHEEL_MIN_DELAY_NS:
-            wheel = self._wheel
-            if wheel is not None and wheel.insert(when, seq, event, self._now):
-                return event
         heapq.heappush(self._heap, (when, seq, event))
         return event
 
@@ -286,47 +228,8 @@ class EventLoop:
         limit = float("inf") if max_events is None else max_events
         processed = 0
         profiler = self._profiler
-        wheel = self._wheel
         try:
-            if profiler is not None:
-                # Profiled dispatch: same semantics, plus per-callback
-                # accounting. Kept as a separate loop so the unprofiled
-                # paths below pay nothing for the feature; event selection
-                # goes through the shared merged-pop helper since the
-                # callback timing dwarfs its overhead.
-                records = profiler.records
-                perf_ns = time.perf_counter_ns
-                prev_when = self._now
-                pop_next = self._pop_next_entry
-                while not self._stopped:
-                    entry = pop_next(horizon)
-                    if entry is None:
-                        break
-                    when = entry[0]
-                    event = entry[2]
-                    self._now = when
-                    event._fired = True
-                    callback = event.callback
-                    t0 = perf_ns()
-                    callback(*event.args)
-                    wall = perf_ns() - t0
-                    key = (getattr(callback, "__qualname__", None)
-                           or type(callback).__qualname__)
-                    rec = records.get(key)
-                    if rec is None:
-                        records[key] = [1, when - prev_when, wall]
-                    else:
-                        rec[0] += 1
-                        rec[1] += when - prev_when
-                        rec[2] += wall
-                    prev_when = when
-                    processed += 1
-                    if processed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} (runaway simulation?)"
-                        )
-            elif wheel is None:
-                # Pure-heap dispatch (EventLoop(wheel=False)).
+            if profiler is None:
                 while heap and not self._stopped:
                     entry = heap[0]
                     when = entry[0]
@@ -346,90 +249,38 @@ class EventLoop:
                             f"exceeded max_events={max_events} (runaway simulation?)"
                         )
             else:
-                # Merged dispatch. The wheel maintains _next_fire, a
-                # lower bound on its earliest live entry; the common
-                # iteration (a heap event fires while the wheel holds
-                # only far timers) pays exactly one extra read + compare
-                # against it. When the bound is reached the slow path
-                # merges the wheel's sorted ready list against the heap
-                # head by the same (when, seq) key, so the fired event
-                # stream is bit-identical to the pure-heap loop — where
-                # an event *waits* (bucket vs heap) is a performance
-                # detail, never an ordering one. Buckets are drained only
-                # once the heap head reaches the wheel's bucket bound, so
-                # far-future timers (which are nearly always cancelled
-                # first) are never drained, sorted, or even looked at.
-                while not self._stopped:
-                    if heap:
-                        hentry = heap[0]
-                        when = hentry[0]
-                        if when < wheel._next_fire:
-                            if when > horizon:
-                                break
-                            event = hentry[2]
-                            if event.cancelled:
-                                self._pop_cancelled_head()
-                                continue
-                            heappop(heap)
-                            self._now = when
-                            event._fired = True
-                            event.callback(*event.args)
-                            processed += 1
-                            if processed >= limit:
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events} (runaway simulation?)"
-                                )
-                            continue
-                    # Slow path: the wheel may own the next event.
-                    ready = wheel._ready
-                    rpos = wheel._ready_pos
-                    rlen = len(ready)
-                    if rpos < rlen:
-                        wentry = ready[rpos]
-                        if heap and heap[0] < wentry:
-                            hentry = heap[0]
-                            when = hentry[0]
-                            if when > horizon:
-                                break
-                            event = hentry[2]
-                            if event.cancelled:
-                                self._pop_cancelled_head()
-                                continue
-                            heappop(heap)
-                        else:
-                            when = wentry[0]
-                            if when > horizon:
-                                break
-                            rpos += 1
-                            wheel._ready_pos = rpos
-                            wheel._next_fire = (
-                                ready[rpos][0] if rpos < rlen else wheel._next_when
-                            )
-                            event = wentry[2]
-                            if event.cancelled:
-                                wheel._ready_cancelled -= 1
-                                continue
-                    elif wheel._count:
-                        if wheel._next_when <= horizon:
-                            wheel._refill()
-                            continue
-                        # All buckets past the horizon: re-sync the
-                        # fast-path bound (it may have been stale-low).
-                        wheel._next_fire = wheel._next_when
-                        if not heap or heap[0][0] > horizon:
-                            break
-                        continue
-                    elif heap:
-                        # Ready list consumed, buckets empty: the wheel
-                        # holds nothing, so the bounds were stale-low
-                        # (cancelled timers) — reset them.
-                        wheel._next_when = wheel._next_fire = _WHEEL_INF
-                        continue
-                    else:
+                # Profiled dispatch: same semantics, plus per-callback
+                # accounting. Kept as a separate loop so the unprofiled
+                # path above pays nothing for the feature.
+                records = profiler.records
+                perf_ns = time.perf_counter_ns
+                prev_when = self._now
+                while heap and not self._stopped:
+                    entry = heap[0]
+                    when = entry[0]
+                    if when > horizon:
                         break
+                    event = entry[2]
+                    if event.cancelled:
+                        self._pop_cancelled_head()
+                        continue
+                    heappop(heap)
                     self._now = when
                     event._fired = True
-                    event.callback(*event.args)
+                    callback = event.callback
+                    t0 = perf_ns()
+                    callback(*event.args)
+                    wall = perf_ns() - t0
+                    key = (getattr(callback, "__qualname__", None)
+                           or type(callback).__qualname__)
+                    rec = records.get(key)
+                    if rec is None:
+                        records[key] = [1, when - prev_when, wall]
+                    else:
+                        rec[0] += 1
+                        rec[1] += when - prev_when
+                        rec[2] += wall
+                    prev_when = when
                     processed += 1
                     if processed >= limit:
                         raise SimulationError(
@@ -453,20 +304,11 @@ class EventLoop:
         heap = self._heap
         while heap and heap[0][2].cancelled:
             self._pop_cancelled_head()
-        when = heap[0][0] if heap else None
-        wheel = self._wheel
-        if wheel is not None:
-            wentry = wheel.peek_entry()
-            if wentry is not None and (when is None or wentry[0] < when):
-                when = wentry[0]
-        return when
+        return heap[0][0] if heap else None
 
     def pending_count(self) -> int:
         """Number of scheduled, non-cancelled events (O(1))."""
-        count = len(self._heap) - self._cancelled_in_heap
-        if self._wheel is not None:
-            count += self._wheel.live_count()
-        return count
+        return len(self._heap) - self._cancelled_in_heap
 
     # -- lazy-deletion bookkeeping ------------------------------------------
 
@@ -478,28 +320,6 @@ class EventLoop:
         """
         heapq.heappop(self._heap)
         self._cancelled_in_heap -= 1
-
-    def _pop_next_entry(self, horizon) -> Optional[_HeapEntry]:
-        """Pop the earliest live entry at or before *horizon*, or ``None``.
-
-        Merges the wheel and the heap by their shared (when, seq) key;
-        used by the profiled dispatch loop and available to any caller
-        that wants single-step dispatch semantics.
-        """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            self._pop_cancelled_head()
-        hentry = heap[0] if heap else None
-        wheel = self._wheel
-        wentry = wheel.peek_entry() if wheel is not None else None
-        if hentry is not None and (wentry is None or hentry < wentry):
-            if hentry[0] > horizon:
-                return None
-            return heapq.heappop(heap)
-        if wentry is None or wentry[0] > horizon:
-            return None
-        wheel._consume_ready()
-        return wentry
 
     def _note_cancelled(self) -> None:
         """Record one more cancelled-in-heap event; compact when they dominate."""

@@ -330,3 +330,28 @@ def test_report_surfaces_meta_notices(tmp_path, capsys):
     assert code == 0
     assert "goodput" in text
     assert "dropped 7 oldest records" in capsys.readouterr().err
+
+
+def test_run_profile_on_default_compiled_tree_reports_pure_fallback(
+        tmp_path, monkeypatch, capsys):
+    """--profile with nothing requested on a built tree runs pure, and says so."""
+    import repro.kernel as kernel_mod
+    from repro.kernel import KERNELS
+
+    compiled = KERNELS.get("compiled")
+    if not compiled.available:
+        pytest.skip(f"compiled kernel not built ({compiled.why_unavailable})")
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setattr(kernel_mod, "_noticed", set())
+    path = tmp_path / "series.json"
+    code, _ = run_cli([
+        "run", "--cc", "bbr", "--connections", "1",
+        "--duration", "0.8", "--warmup", "0.2", "--profile",
+        "--probe", "cwnd", "--series-out", str(path),
+    ])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "instrumented run" in err and "'compiled'" in err
+    meta = json.loads(path.read_text())["_meta"]
+    assert ("instrumented run: pure kernel used instead of 'compiled'"
+            in meta["notices"])

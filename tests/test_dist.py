@@ -25,6 +25,7 @@ import pytest
 from repro import (
     ExperimentSpec,
     ResultCache,
+    resolve_kernel,
     resolve_worker_jobs,
     run_grid_report,
 )
@@ -329,7 +330,7 @@ def test_worker_refuses_fingerprint_skew(tmp_path):
     queue = TaskQueue(str(tmp_path / "queue"))
     queue.prepare({
         "grid_digest": "d" * 64,
-        "kernel": "pure",
+        "kernel": resolve_kernel().name,
         "fingerprint": "f" * 64,  # nothing real hashes to this
         "cache_root": str(tmp_path / "cache"),
     })
@@ -348,7 +349,7 @@ def test_worker_exits_on_stop_and_reports(tmp_path):
     queue = TaskQueue(str(tmp_path / "queue"))
     queue.prepare({
         "grid_digest": grid_digest(specs),
-        "kernel": "pure",
+        "kernel": resolve_kernel().name,
         "cache_root": cache.root,
     })
     from repro.core.scenario import spec_to_dict

@@ -3,13 +3,14 @@
 The pure-python simulator is the behavioral reference; the C extension
 (:mod:`repro._ckernel`) must be *bit-identical* — same event order, same
 seq tie-breaks, same float expressions. The property-style tests drive
-both backends through the same randomized loop workload (same seeds as
-``test_sim_wheel.py``) and through full experiments (scalar metrics,
-event counts, probe time series compared for exact equality).
+both backends through the same randomized loop workload and through
+full experiments (scalar metrics, event counts, probe time series
+compared for exact equality).
 
-Everything else here covers the graceful degradation paths: the
-extension being absent at import time, instrumented runs, and the C
-types refusing instrumentation they cannot honour.
+Everything else here covers backend selection (compiled by default when
+built, pure otherwise) and the graceful degradation paths: the extension
+being absent at import time, instrumented runs, and the C types refusing
+instrumentation they cannot honour.
 """
 
 from __future__ import annotations
@@ -32,10 +33,15 @@ from repro import (
     load_scenario,
     run_experiment,
 )
-from repro.kernel import KERNEL_ENV_VAR, KERNELS, compiled_for, resolve_kernel
+from repro.kernel import (
+    KERNEL_ENV_VAR,
+    KERNELS,
+    compiled_for,
+    requested_kernel,
+    resolve_kernel,
+)
 from repro.netsim import MEDIA
 from repro.sim import EventLoop, SimulationError
-from repro.sim.engine import _WHEEL_MIN_DELAY_NS
 from repro.tcp.rate_sample import DeliveryRateEstimator
 from repro.tcp.rtt import MinRttFilter, RttEstimator
 from repro.tcp.scoreboard import Scoreboard
@@ -59,15 +65,15 @@ def kernel_env(monkeypatch):
     return select
 
 
-# -- loop-level equivalence (same workload as test_sim_wheel.py) ---------------
+# -- loop-level equivalence -----------------------------------------------------
 
 
 def _run_workload(loop, seed: int) -> list:
     """Drive *loop* through a deterministic random schedule/cancel workload.
 
-    Identical to the wheel-vs-heap property test: both backends must
-    consume the RNG in the same order, so any divergence in fire order
-    or timing shows up as a log mismatch.
+    Delays mix sub-2 ms fire-path work with RTO-scale timers. Both
+    backends must consume the RNG in the same order, so any divergence
+    in fire order or timing shows up as a log mismatch.
     """
     rng = random.Random(seed)
     log = []
@@ -77,9 +83,9 @@ def _run_workload(loop, seed: int) -> list:
     def pick_delay() -> int:
         bucket = rng.random()
         if bucket < 0.4:
-            return rng.randrange(0, _WHEEL_MIN_DELAY_NS)
+            return rng.randrange(0, 1 << 21)
         if bucket < 0.8:
-            return rng.randrange(_WHEEL_MIN_DELAY_NS, 40_000_000)
+            return rng.randrange(1 << 21, 40_000_000)
         return rng.randrange(40_000_000, 600_000_000)
 
     def schedule() -> None:
@@ -163,8 +169,19 @@ def test_experiment_results_bit_identical_across_kernels(name, kernel_env):
 # -- selection and fallback ----------------------------------------------------
 
 
-def test_resolve_kernel_defaults_to_pure(kernel_env):
+@needs_compiled
+def test_resolve_kernel_defaults_to_compiled_when_built(kernel_env, capsys):
+    assert requested_kernel() is None
+    assert resolve_kernel().name == "compiled"
+    assert capsys.readouterr().err == ""
+
+
+def test_resolve_kernel_defaults_to_pure_without_extension(
+        kernel_env, simulate_missing_ckernel, capsys):
+    """Nothing built, nothing asked for: pure is the default, not a fallback."""
+    simulate_missing_ckernel()
     assert resolve_kernel().name == "pure"
+    assert capsys.readouterr().err == ""
 
 
 def test_resolve_kernel_prefers_argument_over_env(kernel_env):
@@ -193,9 +210,22 @@ def test_resolve_kernel_junk_env_fails_fast(kernel_env):
     assert "turbo" in message
 
 
-def test_resolve_kernel_blank_env_means_unset(kernel_env):
+def test_resolve_kernel_blank_env_means_unset(
+        kernel_env, simulate_missing_ckernel):
     kernel_env("   ")
+    assert requested_kernel() is None
+    default = "compiled" if COMPILED.available else "pure"
+    assert resolve_kernel().name == default
+    simulate_missing_ckernel()
     assert resolve_kernel().name == "pure"
+
+
+def test_requested_kernel_is_argument_then_env(kernel_env):
+    assert requested_kernel() is None
+    assert requested_kernel("compiled") == "compiled"
+    kernel_env("pure")
+    assert requested_kernel() == "pure"
+    assert requested_kernel("compiled") == "compiled"
 
 
 def test_instrumented_run_falls_back_to_pure_with_notice(monkeypatch, capsys):
@@ -209,12 +239,9 @@ def test_instrumented_run_falls_back_to_pure_with_notice(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_missing_extension_falls_back_to_pure(monkeypatch, capsys):
-    """Simulate a machine where the C extension never built."""
-    monkeypatch.setattr(kernel_mod, "_ckernel", None)
-    monkeypatch.setattr(kernel_mod, "_ckernel_error", "no compiler at install")
-    monkeypatch.setattr(kernel_mod, "_ckernel_loaded", True)
-    monkeypatch.setattr(kernel_mod, "_noticed", set())
+def test_missing_extension_falls_back_to_pure(simulate_missing_ckernel, capsys):
+    """An explicit compiled request that cannot load still says so."""
+    simulate_missing_ckernel()
     assert not COMPILED.available
     assert "no compiler at install" in COMPILED.why_unavailable
     kernel = resolve_kernel("compiled")
@@ -222,11 +249,21 @@ def test_missing_extension_falls_back_to_pure(monkeypatch, capsys):
     assert "falling back to the pure kernel" in capsys.readouterr().err
 
 
-def test_missing_extension_still_runs_experiments(monkeypatch, kernel_env):
+def test_missing_extension_env_request_still_notices(
+        simulate_missing_ckernel, kernel_env, capsys):
+    """REPRO_KERNEL=compiled on a pure-only install: one notice, then quiet."""
+    simulate_missing_ckernel()
+    kernel_env("compiled")
+    assert resolve_kernel().name == "pure"
+    assert "kernel 'compiled' is unavailable" in capsys.readouterr().err
+    assert resolve_kernel().name == "pure"
+    assert capsys.readouterr().err == ""
+
+
+def test_missing_extension_still_runs_experiments(
+        simulate_missing_ckernel, kernel_env):
     """REPRO_KERNEL=compiled on a pure-only install must still work."""
-    monkeypatch.setattr(kernel_mod, "_ckernel", None)
-    monkeypatch.setattr(kernel_mod, "_ckernel_loaded", True)
-    monkeypatch.setattr(kernel_mod, "_noticed", set())
+    simulate_missing_ckernel()
     kernel_env("compiled")
     spec = ExperimentSpec(cc="bbr", duration_s=0.5, warmup_s=0.1)
     result = run_experiment(spec)
@@ -243,9 +280,15 @@ def test_compiled_for_identifies_compiled_loops():
     assert compiled_for(loop) is not None
 
 
-def test_kernel_info_reports_active_backend(kernel_env):
+def test_kernel_info_reports_active_backend(kernel_env, simulate_missing_ckernel):
+    """With no argument, kernel_info describes the default for this build."""
     info = kernel_info()
-    assert info == {
+    if COMPILED.available:
+        assert info["name"] == "compiled"
+        assert info["compiler"] == COMPILED.compiler
+        assert "loop" in info["compiled_components"]
+    simulate_missing_ckernel()
+    assert kernel_info() == {
         "name": "pure",
         "compiler": None,
         "compiled_components": [],

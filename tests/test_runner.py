@@ -253,3 +253,25 @@ def test_summary_line_renders_notices():
     report.notices.append("kernel 'compiled' unavailable; ran pure")
     line = report.summary_line()
     assert "[note: kernel 'compiled' unavailable; ran pure]" in line
+
+
+def test_default_grid_on_pure_only_install_has_no_note(
+        monkeypatch, simulate_missing_ckernel, capsys):
+    """Landing on pure because nothing is built is the default, not a fallback."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    simulate_missing_ckernel()
+    report = run_grid_report([_quick()], jobs=1)
+    assert report.kernel == "pure"
+    assert "[note:" not in report.summary_line()
+    assert capsys.readouterr().err == ""
+
+
+def test_explicit_kernel_that_cannot_load_is_noted(
+        monkeypatch, simulate_missing_ckernel, capsys):
+    monkeypatch.setenv("REPRO_KERNEL", "compiled")
+    simulate_missing_ckernel()
+    report = run_grid_report([_quick()], jobs=1)
+    assert report.kernel == "pure"
+    assert ("[note: kernel 'compiled' unavailable; grid ran 'pure']"
+            in report.summary_line())
+    assert "kernel 'compiled' is unavailable" in capsys.readouterr().err

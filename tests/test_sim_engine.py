@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim import EventLoop, SimulationError
@@ -122,6 +124,35 @@ def test_max_events_guard(loop):
         loop.run(max_events=100)
 
 
+def test_max_events_overrun_still_counts_processed_events(loop):
+    """events_processed must reflect work done even when the guard trips.
+
+    Regression: the dispatch loop folds its local counter into
+    events_processed in a finally block, so the SimulationError raised
+    by the max_events valve must not lose the count.
+    """
+
+    def reschedule():
+        loop.call_after(1, reschedule)
+
+    loop.call_after(1, reschedule)
+    with pytest.raises(SimulationError):
+        loop.run(max_events=100)
+    assert loop.events_processed == 100
+
+
+def test_max_events_accumulates_across_runs(loop):
+    for i in range(10):
+        loop.call_after(i + 1, lambda: None)
+    loop.run(max_events=50)
+    assert loop.events_processed == 10
+    for i in range(10):
+        loop.call_after(i + 1, lambda: None)
+    with pytest.raises(SimulationError):
+        loop.run(max_events=5)
+    assert loop.events_processed == 15
+
+
 def test_events_processed_counter(loop):
     for i in range(5):
         loop.call_after(i + 1, lambda: None)
@@ -179,7 +210,7 @@ def test_heap_growth_bounded_under_timer_rearm_churn():
     """
     from repro.sim.timer import Timer
 
-    loop = EventLoop(wheel=False)
+    loop = EventLoop()
     timer = Timer(loop, lambda: None)
     for i in range(20_000):
         timer.start(1_000_000 + i)  # always re-armed into the far future
@@ -189,22 +220,68 @@ def test_heap_growth_bounded_under_timer_rearm_churn():
     assert loop.compactions > 0
 
 
-def test_wheel_absorbs_timer_rearm_churn_with_no_debt():
-    """With the wheel on (the default), the same churn leaves zero debt.
+@pytest.mark.parametrize("seed", [7, 23, 1009])
+def test_random_rearm_workload_fires_in_when_seq_order(seed):
+    """Property: under random schedule/cancel/re-arm churn, every live event
+    due by the horizon fires exactly once, at its time, in (when, seq)
+    order; no cancelled event fires; the counters agree with the log.
 
-    Each cancel is a true O(1) bucket delete, so neither the heap nor
-    the wheel accumulates cancelled entries and compaction never runs.
+    Tags are handed out in scheduling order, so (when, tag) is the
+    (when, seq) key. The initial burst is large enough for cancellation
+    debt to trigger heap compaction mid-run.
     """
-    from repro.sim.timer import Timer
-
+    rng = random.Random(seed)
     loop = EventLoop()
-    timer = Timer(loop, lambda: None)
-    for i in range(20_000):
-        timer.start(200_000_000 + i)  # RTO-scale horizon: wheel-routed
-    assert loop.pending_count() == 1
-    assert len(loop._heap) == 0
-    assert loop._wheel.live_count() == 1
-    assert loop.compactions == 0
+    horizon = 3_000_000_000
+    log = []
+    due = {}
+    pending = {}
+    cancelled = set()
+
+    def schedule() -> None:
+        tag = len(due)
+        bucket = rng.random()
+        if bucket < 0.4:
+            delay = rng.randrange(0, 2_000_000)
+        elif bucket < 0.8:
+            delay = rng.randrange(2_000_000, 40_000_000)
+        else:
+            delay = rng.randrange(40_000_000, 600_000_000)
+        due[tag] = loop.now + delay
+        pending[tag] = loop.call_after(delay, fire, tag)
+
+    def cancel_one() -> None:
+        victim = rng.choice(sorted(pending))
+        pending.pop(victim).cancel()
+        cancelled.add(victim)
+
+    def fire(tag: int) -> None:
+        pending.pop(tag)
+        log.append((loop.now, tag))
+        roll = rng.random()
+        if roll < 0.55:
+            schedule()
+        if roll < 0.25 and pending:
+            cancel_one()
+        elif roll < 0.45 and pending:
+            cancel_one()  # re-arm: cancel then schedule anew
+            schedule()
+
+    for _ in range(1_500):
+        schedule()
+    for _ in range(900):
+        cancel_one()
+    loop.run(until=horizon)
+
+    expected = sorted(
+        (when, tag) for tag, when in due.items()
+        if tag not in cancelled and when <= horizon
+    )
+    assert log == expected
+    assert loop.events_processed == len(log)
+    assert loop.pending_count() == len(pending)
+    assert all(when > horizon for when in (due[t] for t in pending))
+    assert loop.compactions > 0
 
 
 def test_compaction_preserves_firing_order(loop):
@@ -224,9 +301,7 @@ def test_compaction_preserves_firing_order(loop):
 
 
 def test_explicit_compact_drops_cancelled_entries():
-    # Heap-only loop: compaction is a heap concern (wheel cancels are
-    # hard deletes and leave nothing to compact).
-    loop = EventLoop(wheel=False)
+    loop = EventLoop()
     live = loop.call_after(100, lambda: None)
     dead = [loop.call_after(200 + i, lambda: None) for i in range(50)]
     for e in dead:
@@ -239,7 +314,7 @@ def test_explicit_compact_drops_cancelled_entries():
 
 
 def test_peek_next_time_updates_cancel_accounting():
-    loop = EventLoop(wheel=False)
+    loop = EventLoop()
     first = loop.call_after(10, lambda: None)
     loop.call_after(20, lambda: None)
     first.cancel()
